@@ -11,12 +11,12 @@ generation  instance draw path       ``$REPRO_GEN_ENGINE`` vectorized
 simulation  trace draw and replay    ``$REPRO_SIM_ENGINE`` indexed
 ==========  =======================  ====================  ==========
 
-The solver seam has four engines: ``dict`` (the original string-keyed
-implementations), ``indexed`` (vectorized single-pick kernels, the
-default), ``batched`` (:mod:`repro.core.batched`, multi-pick greedy
-rounds) and ``numba`` (optional JIT of the single-pick loop; requires
-the ``numba`` extra and raises a clear error without it).  All four
-produce bit-identical traces.
+The solver seam has two engines: ``indexed`` (array-native kernels,
+the default; Greedy picks its single-pick or multi-pick kernel from the
+lowered instance, see :mod:`repro.core.batched`) and ``dict`` (the
+original string-keyed implementations, kept as the reference the
+parity suites check ``indexed`` against).  Both produce bit-identical
+traces.
 
 The simulation seam has four engines: ``dict`` (the original
 string-keyed event loop), ``indexed`` (array-native per-event replay,
@@ -78,7 +78,7 @@ ENGINE_SETTINGS: "dict[str, EngineSetting]" = {
         label="engine",
         env="REPRO_ENGINE",
         default="indexed",
-        choices=("indexed", "dict", "batched", "numba"),
+        choices=("indexed", "dict"),
     ),
     "generation": EngineSetting(
         kind="generation",

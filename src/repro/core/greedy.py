@@ -37,9 +37,9 @@ import math
 from dataclasses import dataclass, field
 
 from repro.core.assignment import Assignment, best_assignment
+from repro.core.batched import select_greedy_kernel
 from repro.core.indexed import (
     best_single_stream_kernel,
-    greedy_kernel,
     index_instance,
     resolve_engine,
 )
@@ -186,22 +186,21 @@ def greedy(
         Optional budget override (used by resource-augmentation
         experiments); defaults to ``B_1``.
     engine:
-        ``"indexed"`` (default) runs the vectorized single-pick kernel
-        of :mod:`repro.core.indexed`; ``"batched"`` runs the multi-pick
-        round kernel of :mod:`repro.core.batched`; ``"numba"`` runs the
-        JIT-compiled single-pick loop (requires the optional ``numba``
-        extra); ``"dict"`` runs the original string-keyed
-        implementation.  All engines produce bit-identical traces; the
-        default may be overridden with ``$REPRO_ENGINE``.
+        ``"indexed"`` (default) lowers the instance to arrays and runs
+        the exact kernel :func:`repro.core.batched.select_greedy_kernel`
+        picks for them (single-pick or multi-pick rounds); ``"dict"``
+        runs the original string-keyed implementation, kept as the
+        reference the array path is checked against.  Both produce
+        bit-identical traces; the default may be overridden with
+        ``$REPRO_ENGINE``.
 
     Returns a :class:`GreedyTrace` whose assignment is semi-feasible:
     the server budget holds, and each user may exceed his utility cap
     only by his final stream (utility is counted capped).
     """
     _require_single_budget(instance)
-    resolved = resolve_engine(engine)
-    if resolved != "dict":
-        return _greedy_indexed(instance, initial_streams, budget, resolved)
+    if resolve_engine(engine) != "dict":
+        return _greedy_indexed(instance, initial_streams, budget)
     cap = instance.budgets[0] if budget is None else budget
     state = _GreedyState(instance)
     assignment = Assignment(instance)
@@ -239,13 +238,9 @@ def _greedy_indexed(
     instance: MMDInstance,
     initial_streams: "tuple[str, ...]",
     budget: "float | None",
-    engine: str = "indexed",
 ) -> GreedyTrace:
-    """Vectorized Greedy: lower once, run a CSR kernel, lift the trace.
-
-    All array-native engines share this lowering; ``engine`` picks the
-    kernel (single-pick, multi-pick batched, or JIT-compiled).
-    """
+    """Vectorized Greedy: lower once, run the selected CSR kernel, lift
+    the trace."""
     cap = instance.budgets[0] if budget is None else budget
     idx = index_instance(instance)
     initial: "list[int]" = []
@@ -255,17 +250,7 @@ def _greedy_indexed(
             raise ValidationError(f"initial stream {sid!r} unknown or repeated")
         seen.add(sid)
         initial.append(idx.stream_index[sid])
-    if engine == "batched":
-        from repro.core.batched import greedy_kernel_batched
-
-        kernel = greedy_kernel_batched
-    elif engine == "numba":
-        from repro.core.batched import greedy_kernel_numba
-
-        kernel = greedy_kernel_numba
-    else:
-        kernel = greedy_kernel
-    order, rejected, total_cost = kernel(idx, cap, initial)
+    order, rejected, total_cost = select_greedy_kernel(idx)(idx, cap, initial)
     assignment = Assignment(instance)
     trace = GreedyTrace(assignment)
     for k, receivers in order:

@@ -48,8 +48,6 @@ _CACHE_ATTR = "_indexed_cache"
 #: Environment variable selecting the default engine for the hot paths.
 ENGINE_ENV = ENGINE_SETTINGS["solver"].env
 
-_ENGINES = ENGINE_SETTINGS["solver"].choices
-
 
 def resolve_engine(engine: "str | None" = None) -> str:
     """Resolve an engine name: explicit argument > $REPRO_ENGINE > indexed.

@@ -3,8 +3,8 @@
 The parity suites in ``test_indexed_parity.py`` check end-to-end
 bit-exactness against the dict engine; these tests target the batched
 kernel's internals directly — the non-interaction mask, the vectorized
-commit, adversarial conflict structures, tiny round sizes and the
-optional numba engine's import guard.
+commit, adversarial conflict structures and tiny round sizes — and the
+selector that chooses between the single-pick and multi-pick kernels.
 """
 
 from __future__ import annotations
@@ -15,18 +15,20 @@ import numpy as np
 import pytest
 
 import repro.core.batched as batched
+import repro.core.greedy as greedy_module
 from repro.core.batched import (
-    HAS_NUMBA,
     commit_picks,
     greedy_kernel_batched,
-    greedy_kernel_numba,
     safe_prefix_mask,
+    select_greedy_kernel,
 )
 from repro.exceptions import ValidationError
 from repro.core.greedy import greedy
 from repro.core.indexed import ensure_indexed, greedy_kernel
 from repro.core.instance import MMDInstance, Stream, User
-from repro.instances.generators import random_unit_skew_smd
+from repro.core.solver import solve_mmd
+from repro.instances.generators import random_unit_skew_smd, sweep_cell
+from repro.instances.vectorized import generate_unit_skew_smd
 
 
 def all_conflict_instance(num_streams: int = 30) -> MMDInstance:
@@ -55,13 +57,24 @@ def all_independent_instance(num_streams: int = 24) -> MMDInstance:
 
 
 def assert_traces_identical(instance: MMDInstance) -> None:
+    """Both kernels, called directly, and the production ``greedy`` must
+    reproduce the dict oracle's trace bit for bit."""
     dict_trace = greedy(instance, engine="dict")
-    bat_trace = greedy(instance, engine="batched")
-    assert bat_trace.order == dict_trace.order
-    assert bat_trace.rejected_for_budget == dict_trace.rejected_for_budget
-    assert bat_trace.total_cost == dict_trace.total_cost
-    assert bat_trace.assignment.as_dict() == dict_trace.assignment.as_dict()
-    assert bat_trace.assignment.utility() == dict_trace.assignment.utility()
+    idx = ensure_indexed(instance)
+    for kernel in (greedy_kernel, greedy_kernel_batched):
+        order, rejected, total_cost = kernel(idx, instance.budgets[0], [])
+        assert [
+            (idx.stream_ids[k], tuple(idx.user_ids_of(receivers)))
+            for k, receivers in order
+        ] == dict_trace.order, kernel.__name__
+        assert idx.stream_ids_of(rejected) == dict_trace.rejected_for_budget
+        assert total_cost == dict_trace.total_cost
+    trace = greedy(instance, engine="indexed")
+    assert trace.order == dict_trace.order
+    assert trace.rejected_for_budget == dict_trace.rejected_for_budget
+    assert trace.total_cost == dict_trace.total_cost
+    assert trace.assignment.as_dict() == dict_trace.assignment.as_dict()
+    assert trace.assignment.utility() == dict_trace.assignment.utility()
 
 
 class TestAdversarialStructures:
@@ -161,27 +174,83 @@ class TestKernelPrimitives:
             assert np.array_equal(recv_a, recv_b)
 
 
-class TestNumbaEngine:
-    @pytest.mark.skipif(HAS_NUMBA, reason="numba installed: guard untestable")
-    def test_missing_numba_raises_actionable_error(self):
-        idx = ensure_indexed(all_independent_instance(3))
-        with pytest.raises(ValidationError, match="numba"):
-            greedy_kernel_numba(idx, 10.0, [])
-        with pytest.raises(ValidationError, match="repro-mmd\\[numba\\]"):
-            greedy(all_independent_instance(3), engine="numba")
+#: The regime grid of ``benchmarks/bench_e16_batched.py`` and the kernel
+#: the selector must choose on each cell.  Unit-skew cells are
+#: ``(streams, users, generator kwargs)`` for
+#: :func:`~repro.instances.vectorized.generate_unit_skew_smd` (seed 42);
+#: sweep cells list the kernel of each Greedy run inside ``solve_mmd``
+#: (one per skew class) on the benchmark's ``sweep`` cells (seed 0).
+UNIT_SKEW_GRID = [
+    ((20, 50, {"density": 0.2, "cap_fraction": 0.5}), greedy_kernel),
+    ((100, 1000, {"density": 0.05, "cap_fraction": 0.5}), greedy_kernel),
+    ((500, 5000, {"density": 0.01, "cap_fraction": 0.3}), greedy_kernel),
+    ((1000, 10000, {"density": 0.01, "cap_fraction": 0.2}), greedy_kernel),
+    ((200, 1000, {"density": 0.05, "cap_fraction": 2.0}), greedy_kernel_batched),
+    (
+        (1000, 10000,
+         {"density": 0.001, "cap_fraction": 2.0, "budget_fraction": 0.6}),
+        greedy_kernel_batched,
+    ),
+]
+SWEEP_GRID = [
+    ((100, 1000, 1.0, {"density": 0.05, "budget_fraction": 0.5}),
+     [greedy_kernel]),
+    ((100, 1000, 4.0, {"density": 0.05, "budget_fraction": 0.5}),
+     [greedy_kernel, greedy_kernel_batched]),
+    ((200, 1000, 1.0, {"density": 0.005, "budget_fraction": 2.0}),
+     [greedy_kernel_batched]),
+    ((200, 1000, 4.0, {"density": 0.005, "budget_fraction": 2.0}),
+     [greedy_kernel_batched, greedy_kernel_batched]),
+]
 
-    @pytest.mark.skipif(not HAS_NUMBA, reason="optional numba not installed")
-    def test_numba_kernel_matches_dict_engine(self):
-        for seed in range(6):
-            instance = random_unit_skew_smd(12, 8, seed=seed)
-            dict_trace = greedy(instance, engine="dict")
-            jit_trace = greedy(instance, engine="numba")
-            assert jit_trace.order == dict_trace.order
-            assert jit_trace.rejected_for_budget == dict_trace.rejected_for_budget
-            assert jit_trace.total_cost == dict_trace.total_cost
-            assert (
-                jit_trace.assignment.as_dict() == dict_trace.assignment.as_dict()
-            )
+
+class TestKernelSelection:
+    @pytest.mark.parametrize(
+        "instance, expected",
+        [
+            (all_conflict_instance(40), greedy_kernel),
+            (random_unit_skew_smd(60, 200, seed=1, density=0.02), greedy_kernel),
+            (
+                random_unit_skew_smd(40, 400, seed=1, density=0.8, cap_fraction=2.0),
+                greedy_kernel,
+            ),
+            (all_independent_instance(24), greedy_kernel),
+            (all_independent_instance(40), greedy_kernel_batched),
+            (
+                random_unit_skew_smd(60, 200, seed=1, density=0.02, cap_fraction=2.0),
+                greedy_kernel_batched,
+            ),
+        ],
+        ids=[
+            "shared-tight-user", "tight-caps", "heavy-picks", "small-catalog",
+            "disjoint-users", "generous-caps",
+        ],
+    )
+    def test_production_greedy_matches_dict_on_both_sides(self, instance, expected):
+        """Instances the selector sends to each kernel (short conflict-free
+        runs, heavy picks and small catalogs stay single-pick): the
+        choice is as designed and every path matches the dict oracle."""
+        assert select_greedy_kernel(ensure_indexed(instance)) is expected
+        assert_traces_identical(instance)
+
+    def test_unit_skew_grid_choices(self):
+        for (streams, users, params), expected in UNIT_SKEW_GRID:
+            idx = generate_unit_skew_smd(streams, users, seed=42, **params)
+            assert select_greedy_kernel(idx) is expected, (streams, users, params)
+
+    def test_sweep_grid_choices(self, monkeypatch):
+        """The kernel of each Greedy run inside ``solve_mmd``; the
+        dense-tight unit-skew cell must stay single-pick."""
+        for (streams, users, skew, params), expected in SWEEP_GRID:
+            chosen = []
+
+            def recording(idx):
+                chosen.append(select_greedy_kernel(idx))
+                return chosen[-1]
+
+            monkeypatch.setattr(greedy_module, "select_greedy_kernel", recording)
+            solve_mmd(sweep_cell(streams, users, skew, seed=0, **params))
+            assert chosen == expected, (streams, users, skew, params)
 
 
 class TestAllocatorBatch:

@@ -206,15 +206,17 @@ class TestEngineErrors:
     def test_unknown_env_engine_exits_cleanly(
         self, instance_file, capsys, monkeypatch
     ):
-        """A bogus ``$REPRO_ENGINE`` must exit with code 2 and a one-line
-        message naming the choices — never a traceback."""
-        monkeypatch.setenv("REPRO_ENGINE", "bogus")
-        assert main(["solve", str(instance_file)]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err
-        assert "'bogus'" in err
-        assert "batched" in err
-        assert "Traceback" not in err
+        """A bogus ``$REPRO_ENGINE`` — including the retired ``batched``
+        and ``numba`` solver engines — must exit with code 2 and a
+        one-line message naming the choices, never a traceback."""
+        for bogus in ("bogus", "batched", "numba"):
+            monkeypatch.setenv("REPRO_ENGINE", bogus)
+            assert main(["solve", str(instance_file)]) == 2
+            err = capsys.readouterr().err
+            assert "error:" in err
+            assert f"'{bogus}'" in err
+            assert "indexed" in err
+            assert "Traceback" not in err
 
     def test_unknown_env_sim_engine_exits_cleanly(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_ENGINE", "turbo")

@@ -176,11 +176,16 @@ class TestSpec:
     def test_bad_engines_rejected_up_front(self):
         # A typo'd engine must fail spec validation (exit 2 at the CLI),
         # not crash inside the first work unit of a sharded run.
-        for field in ("engine", "gen_engine", "sim_engine"):
+        for field, value in (
+            ("engine", "indxed"),
+            ("engine", "batched"),  # retired solver engine
+            ("gen_engine", "indxed"),
+            ("sim_engine", "indxed"),
+        ):
             with pytest.raises(SpecError, match=field):
                 spec_from_dict(
                     {"kind": "solve", "family": "sweep", "streams": [4],
-                     "users": [3], field: "indxed"}
+                     "users": [3], field: value}
                 )
 
     def test_empty_grids_rejected(self):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.assignment import Assignment
+from repro.core.greedy import greedy
 from repro.core.indexed import (
     IndexedAssignment,
     index_instance,
@@ -87,6 +88,12 @@ class TestEngineResolution:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValidationError):
             resolve_engine("pandas")
+        # The retired solver engines: Greedy now picks its own kernel.
+        for retired in ("batched", "numba"):
+            with pytest.raises(ValidationError, match=retired):
+                resolve_engine(retired)
+            with pytest.raises(ValidationError, match=retired):
+                greedy(random_smd(4, 3, 2.0, seed=0), engine=retired)
 
 
 class TestSkewBins:

@@ -7,22 +7,28 @@ assignments match with ``==`` — not just approximately.  These
 hypothesis-driven tests exercise that contract on random unit-skew SMD,
 bounded-skew SMD and general MMD instances for every hot path the
 refactor touched: ``greedy``, ``greedy_feasible``,
-``classify_and_select``, ``greedy_fill`` and ``solve_mmd``.
+``classify_and_select``, ``greedy_fill`` and ``solve_mmd``.  The Greedy
+suites run the production path and, forced in its place, each of the
+two exact kernels the production path selects between.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.assignment import Assignment
-from repro.core.batched import HAS_NUMBA
+from repro.core.batched import greedy_kernel_batched
 from repro.core.greedy import (
     best_single_stream_assignment,
     greedy,
     greedy_feasible,
 )
+from repro.core.indexed import greedy_kernel
 from repro.core.skew import classify_and_select
 from repro.core.solver import best_single_stream_mmd, greedy_fill, solve_mmd
 from repro.instances.generators import (
@@ -35,10 +41,27 @@ from repro.instances.generators import (
 #: not scale, and hypothesis runs many examples.
 SIZES = st.tuples(st.integers(2, 14), st.integers(1, 10))
 
-#: Every array-native solver engine; each must be bit-identical to the
-#: dict engine.  ``numba`` joins only where the optional extra is
-#: installed (the dedicated CI matrix leg).
-ARRAY_ENGINES = ["indexed", "batched"] + (["numba"] if HAS_NUMBA else [])
+#: The array path as shipped (``indexed``: Greedy selects its kernel per
+#: instance) and with each exact kernel forced in place of the
+#: selection; every one must be bit-identical to the dict engine.
+ARRAY_PATHS = {
+    "indexed": None,
+    "single": greedy_kernel,
+    "batched": greedy_kernel_batched,
+}
+
+
+@contextmanager
+def array_path(name: str):
+    """Run the ``engine="indexed"`` solvers on the named array path."""
+    kernel = ARRAY_PATHS[name]
+    if kernel is None:
+        yield
+        return
+    with mock.patch(
+        "repro.core.greedy.select_greedy_kernel", lambda idx: kernel
+    ):
+        yield
 
 
 def smd_families(seed: int, num_streams: int, num_users: int, skew: float):
@@ -47,13 +70,14 @@ def smd_families(seed: int, num_streams: int, num_users: int, skew: float):
     return random_smd(num_streams, num_users, skew, seed=seed)
 
 
-@pytest.mark.parametrize("engine", ARRAY_ENGINES)
+@pytest.mark.parametrize("path", ARRAY_PATHS)
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), size=SIZES, skew=st.sampled_from([1.0, 2.0, 8.0, 64.0]))
-def test_greedy_trace_parity(engine, seed, size, skew):
+def test_greedy_trace_parity(path, seed, size, skew):
     instance = smd_families(seed, *size, skew)
     dict_trace = greedy(instance, engine="dict")
-    idx_trace = greedy(instance, engine=engine)
+    with array_path(path):
+        idx_trace = greedy(instance, engine="indexed")
     assert idx_trace.order == dict_trace.order
     assert idx_trace.rejected_for_budget == dict_trace.rejected_for_budget
     assert idx_trace.total_cost == dict_trace.total_cost
@@ -61,13 +85,14 @@ def test_greedy_trace_parity(engine, seed, size, skew):
     assert idx_trace.assignment.utility() == dict_trace.assignment.utility()
 
 
-@pytest.mark.parametrize("engine", ARRAY_ENGINES)
+@pytest.mark.parametrize("path", ARRAY_PATHS)
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), size=SIZES, skew=st.sampled_from([1.0, 4.0, 32.0]))
-def test_greedy_feasible_parity(engine, seed, size, skew):
+def test_greedy_feasible_parity(path, seed, size, skew):
     instance = smd_families(seed, *size, skew)
     dict_solution = greedy_feasible(instance, engine="dict")
-    idx_solution = greedy_feasible(instance, engine=engine)
+    with array_path(path):
+        idx_solution = greedy_feasible(instance, engine="indexed")
     assert idx_solution.as_dict() == dict_solution.as_dict()
     assert idx_solution.utility() == dict_solution.utility()
 
@@ -113,13 +138,14 @@ def test_greedy_fill_parity(seed, size, skew):
     assert idx_fill.utility() == dict_fill.utility()
 
 
-@pytest.mark.parametrize("engine", ARRAY_ENGINES)
+@pytest.mark.parametrize("path", ARRAY_PATHS)
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000), size=SIZES, skew=st.sampled_from([1.0, 4.0, 32.0]))
-def test_solve_mmd_parity_smd(engine, seed, size, skew):
+def test_solve_mmd_parity_smd(path, seed, size, skew):
     instance = smd_families(seed, *size, skew)
     dict_result = solve_mmd(instance, engine="dict")
-    idx_result = solve_mmd(instance, engine=engine)
+    with array_path(path):
+        idx_result = solve_mmd(instance, engine="indexed")
     assert idx_result.utility == dict_result.utility
     assert idx_result.method == dict_result.method
     assert idx_result.assignment.as_dict() == dict_result.assignment.as_dict()
@@ -142,7 +168,7 @@ def test_best_single_stream_tie_breaks():
              {"s9": (0.0,), "s1": (0.0,), "s5": (0.0,)}),
     ]
     instance = MMDInstance(streams, users, (10.0,))
-    for engine in ["dict"] + ARRAY_ENGINES:
+    for engine in ["dict", "indexed"]:
         assignment = best_single_stream_assignment(instance, engine=engine)
         assert assignment.as_dict() == {"u0": {"s1"}}, engine  # smallest id
         mmd = best_single_stream_mmd(instance, engine=engine)
