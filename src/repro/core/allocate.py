@@ -41,6 +41,23 @@ finite duration):
   and rejections are tracked as :attr:`OnlineAllocator.rejected_count`
   plus a deduplicated id list, so million-event simulations neither
   re-exponentiate nor leak memory.
+
+One decision is a fixed handful of numpy calls over the stream's
+contiguous CSR row, with no per-user Python loop:
+
+- the per-pair inputs of the Line-4 charges and of the guard — the
+  charged mask, the finite-cap mask, the normalized load ``k/K``, the
+  scaled capacity and the flat ``(user, measure)`` budget index — are
+  static columns built once at construction, one contiguous row per
+  capacity measure, so an offer slices them by ``lo:hi``;
+- the drop walk (:func:`drop_walk`) replays the scalar "drop the
+  largest charge/utility ratio until Line 4 holds" loop with one
+  ``np.subtract.accumulate``, which subtracts in the loop's exact float
+  order, so decisions stay bit-identical to it;
+- the dynamic state is the load arrays, their charge caches and the
+  receiver pairs of each active stream.
+  :attr:`OnlineAllocator.assignment` is a view derived from those pairs
+  on demand; offers and releases keep no string-keyed mirror.
 """
 
 from __future__ import annotations
@@ -66,6 +83,42 @@ from repro.exceptions import ValidationError
 #: (resolved by :func:`repro.config.resolve_charge_resync`; this
 #: constant re-exports :data:`repro.config.DEFAULT_CHARGE_RESYNC`).
 CHARGE_RESYNC_INTERVAL = DEFAULT_CHARGE_RESYNC
+
+#: A normalized load above this exceeds its budget (the guard's test).
+_LOAD_LIMIT = 1.0 + FEASIBILITY_RTOL
+
+#: The answer to a rejected offer (shared, read-only).
+_NO_USERS = np.empty(0, dtype=np.int64)
+_NO_USERS.flags.writeable = False
+
+
+def drop_walk(walk: np.ndarray, server_charge) -> np.ndarray:
+    """Replay Line 4's drop loop; return how many users each offer drops.
+
+    ``walk`` has shape ``(2, ..., width + 1)``: plane 0 holds user
+    charges and plane 1 utilities.  For each offer, columns ``1..n``
+    hold its ``n`` interested users in drop order (largest
+    charge/utility ratio first) and columns past ``n`` hold zeros.
+    Column 0 is overwritten with the offer's totals: ``server_charge``
+    plus the charges, and the utilities, each summed one term at a time
+    in ascending ratio order.
+
+    The scalar loop subtracts the next user's terms from both totals
+    while ``charge > utility``.  ``np.subtract.accumulate`` along the
+    columns performs exactly those subtractions in that order, so
+    column ``s`` holds the loop's totals after ``s`` drops.  The walk
+    stops at the first column where ``charge > utility`` is false (NaN
+    included, as in the loop) or at the last column.  An offer whose
+    count comes out at least ``n`` drops everyone.
+    """
+    with np.errstate(invalid="ignore"):
+        totals = walk[..., :0:-1].cumsum(axis=-1)[..., -1]
+        walk[0, ..., 0] = server_charge + totals[0]
+        walk[1, ..., 0] = totals[1]
+        running = np.subtract.accumulate(walk, axis=-1)
+        going = running[0] > running[1]
+    going[..., -1] = False
+    return going.argmin(axis=-1)
 
 
 def global_skew_parameters(instance: MMDInstance) -> "tuple[float, float, int]":
@@ -168,6 +221,52 @@ class OnlineAllocator:
                 np.minimum.at(scale, idx.u_pair_user[mask], ratios)
                 self._user_scale_arr[:, j] = np.where(np.isfinite(scale), scale, 1.0)
 
+        # Server terms per stream, as Python floats: (measure, c_i(S)/B_i,
+        # scaled B_i) for every positive cost (charged, committed and
+        # released), and (measure, c_i(S)/B_i) for every finite budget
+        # (the guard's test).
+        measures = self._server_measures
+        costs = idx.stream_costs[:, measures]
+        shares = (costs / idx.budgets[measures]).tolist()
+        scaled_budgets = [self._server_scale[i] * instance.budgets[i] for i in measures]
+        self._server_shares: "list[list[tuple[int, float]]]" = [
+            list(zip(measures, row)) for row in shares
+        ]
+        self._server_terms: "list[list[tuple[int, float, float]]]" = [
+            [
+                (i, share, scaled)
+                for i, share, scaled, positive in zip(measures, row, scaled_budgets, charged)
+                if positive
+            ]
+            for row, charged in zip(shares, (costs > 0).tolist())
+        ]
+
+        # Static per-pair columns over the stream-major pairs, one
+        # contiguous row per capacity measure, so an offer slices its CSR
+        # row ``lo:hi`` instead of gathering from ``(U, m_c)`` arrays.
+        # Each entry is the float the scalar path computed per offer.
+        pair_caps = np.ascontiguousarray(idx.capacities[idx.s_user].T)
+        pair_loads = np.ascontiguousarray(idx.s_loads.T)
+        #: Finite cap: the pair counts in the guard.
+        self._pair_finite = np.isfinite(pair_caps)
+        #: Finite cap and positive load: the pair is charged in Line 4,
+        #: and commits and releases move its budget.
+        self._pair_charged = self._pair_finite & (pair_loads > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            #: Normalized load ``k^u_j(S) / K^u_j``.
+            self._pair_ratio = pair_loads / pair_caps
+        #: Scaled capacity ``λ_{u,j} K^u_j``; zero where uncharged, so
+        #: the masked-out charge terms stay finite.
+        self._pair_scaled_cap = np.zeros_like(pair_caps)
+        np.multiply(
+            self._user_scale_arr[idx.s_user].T, pair_caps,
+            out=self._pair_scaled_cap, where=self._pair_charged,
+        )
+        #: Flat index ``u·m_c + j`` of the pair's budget in the load arrays.
+        self._pair_budget = idx.s_user * mc + np.arange(mc, dtype=np.int64)[:, None]
+        self._pair_rank = idx.user_rank[idx.s_user]
+        self._indptr = idx.s_indptr.tolist()
+
         # Normalized loads L(i) ∈ [0, 1] per budget (scale-invariant).
         self._server_load_arr = np.zeros(idx.m)
         self._user_load_arr = np.zeros((num_users, mc))
@@ -181,8 +280,11 @@ class OnlineAllocator:
         # bit-identical to the uncached path).
         self._exp_server = np.ones(idx.m)
         self._exp_user = np.ones((num_users, mc))
+        # Flat views of the user arrays, indexed by ``_pair_budget``
+        # (every write to the arrays is in place, so the views stay live).
+        self._user_load_flat = self._user_load_arr.reshape(-1)
+        self._exp_user_flat = self._exp_user.reshape(-1)
         self._ops_since_resync = 0
-        self.assignment = Assignment(instance)
         self._offered: set[str] = set()
         self._active_pairs: "dict[int, np.ndarray]" = {}
         #: Deduplicated rejected stream ids, in first-rejection order
@@ -198,11 +300,6 @@ class OnlineAllocator:
     # Exponential costs
     # ------------------------------------------------------------------
 
-    def _exp_cost_server(self, i: int) -> float:
-        """``C(i) = B'_i (µ^{L(i)} - 1)`` for a server budget (normalized scale)."""
-        scaled_budget = self._server_scale[i] * self.instance.budgets[i]
-        return scaled_budget * (float(self._exp_server[i]) - 1.0)
-
     def _server_charge(self, stream_id: str) -> float:
         """``Σ_{i∈M} (c_i(S)/B_i)·C(i)`` — the server part of the Line 4 test."""
         self.instance.stream(stream_id)  # canonical unknown-stream error
@@ -210,13 +307,10 @@ class OnlineAllocator:
 
     def _server_charge_index(self, k: int) -> float:
         """Index form of :meth:`_server_charge` (same floats, no id lookup)."""
-        costs = self._idx.stream_costs[k]
         total = 0.0
-        for i in self._server_measures:
-            budget = self._idx.budgets[i]
-            if costs[i] > 0:
-                total += (costs[i] / budget) * self._exp_cost_server(i)
-        return float(total)
+        for i, share, scaled_budget in self._server_terms[k]:
+            total += share * (scaled_budget * (float(self._exp_server[i]) - 1.0))
+        return total
 
     def _user_charge(self, user_id: str, stream_id: str) -> float:
         """``Σ_j (k^u_j(S)/K^u_j)·C(u,j)`` — one user's part of the test.
@@ -231,43 +325,27 @@ class OnlineAllocator:
         position = np.flatnonzero(row == u_i)
         if position.size == 0:
             return 0.0  # zero utility pair: loads are zero by the model
-        pair = idx.s_indptr[k] + position[:1]
-        return float(self._user_charges(row[position[:1]], pair)[0])
+        return float(self._user_charges(idx.s_indptr[k] + position[:1])[0])
 
-    def _user_charges(self, row_users: np.ndarray, row_pairs: np.ndarray) -> np.ndarray:
-        """``Σ_j (k^u_j(S)/K^u_j)·C(u,j)`` for every interested user at once.
+    def _user_charges(self, pairs: "slice | np.ndarray") -> np.ndarray:
+        """``Σ_j (k^u_j(S)/K^u_j)·C(u,j)`` for each of the given pairs.
 
-        Measures accumulate in ascending ``j`` — the same per-user order
-        (and hence the same floats) as charging one user at a time.  The
-        exponentials come from the :attr:`_exp_user` cache (maintained
-        exactly on commit/release), so an offer costs gathers and
-        arithmetic over the interested row but **no** ``mu ** load``
-        recompute — the floats are identical because each cache entry is
-        the same ``self.mu ** self._user_load_arr[u, j]`` expression
-        this method used to evaluate inline.
+        ``pairs`` is a slice of one stream's CSR row (an offer) or an
+        array of pair indices (a batch of offers).  Each term is the
+        scalar path's ``(k/K)·(λK·(µ^L − 1))`` from the static pair
+        columns and the exact :attr:`_exp_user` cache, and the measures
+        accumulate in ascending ``j`` onto zero, skipping uncharged
+        pairs — the same floats as charging one user at a time.
         """
-        idx = self._idx
-        charge = np.zeros(row_users.size)
-        for j in range(idx.mc):
-            cap = idx.capacities[row_users, j]
-            load = idx.s_loads[row_pairs, j]
-            mask = np.isfinite(cap) & (load > 0.0)
-            if mask.any():
-                users = row_users[mask]
-                scaled_cap = self._user_scale_arr[users, j] * cap[mask]
-                exp_cost = scaled_cap * (self._exp_user[users, j] - 1.0)
-                charge[mask] += (load[mask] / cap[mask]) * exp_cost
-        return charge
-
-    def _recharge(self, selected_users: np.ndarray, j: int) -> None:
-        """Refresh the cached ``µ^L`` of the given (user, ``j``) budgets.
-
-        Called after a commit or release changed those loads; the write
-        is the exact power of the new load, so the cache never drifts.
-        """
-        self._exp_user[selected_users, j] = (
-            self.mu ** self._user_load_arr[selected_users, j]
+        terms = self._pair_ratio[:, pairs] * (
+            self._pair_scaled_cap[:, pairs]
+            * (self._exp_user_flat[self._pair_budget[:, pairs]] - 1.0)
         )
+        charged = self._pair_charged[:, pairs]
+        charge = np.zeros(terms.shape[1])
+        for j in range(terms.shape[0]):
+            np.add(charge, terms[j], out=charge, where=charged[j])
+        return charge
 
     def _charges_mutated(self) -> None:
         """Count a commit/release toward the periodic drift-guard resync."""
@@ -329,72 +407,63 @@ class OnlineAllocator:
     def offer_indexed(self, k: int) -> np.ndarray:
         """Index-native :meth:`offer`: stream index in, receiver user
         indices out (same floats, same decisions — the string form
-        delegates here)."""
+        delegates here).
+
+        Receivers come in ascending charge/utility order (ties by user
+        id), the order the drop walk keeps them in.
+        """
         idx = self._idx
-        k = self._check_stream_index(k)
+        k = int(k)
+        if not 0 <= k < idx.num_streams:
+            self._check_stream_index(k)  # raises the canonical error
         stream_id = idx.stream_ids[k]
         if stream_id in self._offered:
             raise ValidationError(f"stream {stream_id!r} is already active")
-        empty = np.empty(0, dtype=np.int64)
-        lo, hi = int(idx.s_indptr[k]), int(idx.s_indptr[k + 1])
+        lo, hi = self._indptr[k], self._indptr[k + 1]
         if lo == hi:
             self._reject(stream_id)
-            return empty
-        row_users = idx.s_user[lo:hi]
-        row_pairs = np.arange(lo, hi, dtype=np.int64)
-        row_w = idx.s_w[lo:hi]
-
-        server_charge = self._server_charge_index(k)
-        charges = self._user_charges(row_users, row_pairs)
+            return _NO_USERS
+        row = slice(lo, hi)
+        charges = self._user_charges(row)
+        utilities = idx.s_w[row]
+        order = np.lexsort((self._pair_rank[row], charges / utilities))
 
         # Maximal U_j: drop users in decreasing order of charge/utility
         # until the Line 4 condition holds (the paper's note after Alg. 2).
-        order = np.lexsort((idx.user_rank[row_users], charges / row_w))
-        sorted_charges = charges[order]
-        sorted_w = row_w[order]
-        # cumsum accumulates sequentially, so these totals are the exact
-        # floats of summing user-by-user in sorted order.
-        total_charge = server_charge + float(np.cumsum(sorted_charges)[-1])
-        total_utility = float(np.cumsum(sorted_w)[-1])
-        count = order.size
-        while count and total_charge > total_utility:
-            count -= 1  # largest charge/utility ratio last
-            total_charge -= float(sorted_charges[count])
-            total_utility -= float(sorted_w[count])
+        walk = np.empty((2, hi - lo + 1))
+        charges.take(order, out=walk[0, :0:-1])
+        utilities.take(order, out=walk[1, :0:-1])
+        count = hi - lo - int(drop_walk(walk, self._server_charge_index(k)))
         if count == 0:
             self._reject(stream_id)
-            return empty
-        selected_users = row_users[order[:count]]
-        selected_pairs = row_pairs[order[:count]]
+            return _NO_USERS
+        pairs = order[:count] + lo
 
+        # Each selected pair's budget and its load after a commit: the
+        # guard tests these loads and the commit writes them.
+        budgets = self._pair_budget[:, pairs]
+        loads = self._user_load_flat[budgets] + self._pair_ratio[:, pairs]
         if self.enforce_budgets:
-            selected_users, selected_pairs = self._hard_guard(
-                k, selected_users, selected_pairs
-            )
-            if selected_users.size == 0:
+            pairs, budgets, loads = self._hard_guard(k, pairs, budgets, loads)
+            if pairs.size == 0:
                 self._reject(stream_id)
-                return empty
+                return _NO_USERS
 
         # Commit: server loads increase once, user loads per receiver;
         # the charge caches refresh for exactly the budgets that moved.
         self._offered.add(stream_id)
-        costs = idx.stream_costs[k]
-        for i in self._server_measures:
-            if costs[i] > 0:
-                self._server_load_arr[i] += costs[i] / idx.budgets[i]
-                self._exp_server[i] = self.mu ** float(self._server_load_arr[i])
-        for j in range(idx.mc):
-            cap = idx.capacities[selected_users, j]
-            load = idx.s_loads[selected_pairs, j]
-            mask = np.isfinite(cap) & (load > 0.0)
-            if mask.any():
-                touched = selected_users[mask]
-                self._user_load_arr[touched, j] += load[mask] / cap[mask]
-                self._recharge(touched, j)
+        for i, share, _scaled_budget in self._server_terms[k]:
+            load = float(self._server_load_arr[i]) + share
+            self._server_load_arr[i] = load
+            self._exp_server[i] = self.mu ** load
+        charged = self._pair_charged[:, pairs]
+        touched = budgets[charged]
+        loads = loads[charged]
+        self._user_load_flat[touched] = loads
+        self._exp_user_flat[touched] = self.mu ** loads
         self._charges_mutated()
-        self._active_pairs[k] = selected_pairs
-        self.assignment.assign_stream(stream_id, idx.user_ids_of(selected_users))
-        return selected_users
+        self._active_pairs[k] = pairs
+        return idx.s_user[pairs]
 
     def offer_batch(self, ks: np.ndarray) -> "list[np.ndarray]":
         """Answer a group of offers; returns answers for a prefix of ``ks``.
@@ -404,17 +473,15 @@ class OnlineAllocator:
         charges only move on a commit, so every offer the sequential
         walk would *reject* sees unchanged state — this method
         vectorizes the rejection filter (batched charges, one
-        segment-major ``lexsort``, padded-row ``cumsum`` /
-        ``subtract.accumulate`` replaying each offer's drop loop in its
-        exact float order) and then delegates the first offer predicted
+        segment-major ``lexsort`` and one :func:`drop_walk` over a
+        padded row per offer — the kernel :meth:`offer_indexed` runs on
+        its single row) and then delegates the first offer predicted
         to select users to :meth:`offer_indexed`, which recomputes and
-        commits through the unchanged scalar path.  The answers are
-        therefore bit-identical to calling :meth:`offer_indexed` in
-        sequence; the prefix ends at the first potentially
-        state-changing answer (the caller re-offers the rest).
+        commits.  The answers are therefore bit-identical to calling
+        :meth:`offer_indexed` in sequence; the prefix ends at the first
+        potentially state-changing answer (the caller re-offers the rest).
         """
         idx = self._idx
-        empty = np.empty(0, dtype=np.int64)
         total = len(ks)
         if total == 0:
             return []
@@ -427,60 +494,29 @@ class OnlineAllocator:
             from repro.core.indexed import _concat_ranges
 
             row_pairs = _concat_ranges(starts[nz], counts[nz])
-            row_users = idx.s_user[row_pairs]
             row_w = idx.s_w[row_pairs]
             lengths = counts[nz]
             nrows = lengths.size
             seg = np.repeat(np.arange(nrows), lengths)
-            charges = self._user_charges(row_users, row_pairs)
+            charges = self._user_charges(row_pairs)
 
-            # Per-offer server charge, measures accumulating in the
-            # scalar loop's ascending order (zero-cost terms contribute
-            # an exact 0.0 instead of being skipped — same float, and
-            # the `where` avoids 0·inf).
-            server_charge = np.zeros(nrows)
-            for i in self._server_measures:
-                cost_col = idx.stream_costs[ks_arr[nz], i]
-                exp_cost = self._exp_cost_server(i)
-                server_charge += np.where(
-                    cost_col > 0, (cost_col / idx.budgets[i]) * exp_cost, 0.0
-                )
+            server_charge = np.array(
+                [self._server_charge_index(k) for k in ks_arr[nz].tolist()]
+            )
 
             with np.errstate(invalid="ignore"):
                 ratio = charges / row_w
-                # Segment-major stable lexsort == each offer's own
-                # (rank, charge/utility) lexsort, concatenated.
-                order = np.lexsort((idx.user_rank[row_users], ratio, seg))
-                sorted_charges = charges[order]
-                sorted_w = row_w[order]
-                offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-                col = np.arange(seg.size, dtype=np.int64) - offsets[seg]
-                width = int(lengths.max())
-                mat_c = np.zeros((nrows, width))
-                mat_u = np.zeros((nrows, width))
-                mat_c[seg, col] = sorted_charges
-                mat_u[seg, col] = sorted_w
-                cum_c = np.cumsum(mat_c, axis=1)
-                cum_u = np.cumsum(mat_u, axis=1)
-                rows_idx = np.arange(nrows)
-                last = lengths - 1
-                # Drop walk: remove the largest charge/utility entries
-                # one subtraction at a time — column s of the accumulate
-                # is the scalar loop's running total after s removals.
-                drop_c = np.zeros((nrows, width + 1))
-                drop_u = np.zeros((nrows, width + 1))
-                drop_c[:, 0] = server_charge + cum_c[rows_idx, last]
-                drop_u[:, 0] = cum_u[rows_idx, last]
-                step_col = lengths[seg] - col
-                drop_c[seg, step_col] = sorted_charges
-                drop_u[seg, step_col] = sorted_w
-                tc = np.subtract.accumulate(drop_c, axis=1)
-                tu = np.subtract.accumulate(drop_u, axis=1)
-                # The scalar loop stops when the condition TC > TU turns
-                # false (NaN included) or everyone has been dropped.
-                stop = ~(tc > tu)
-            stop |= np.arange(width + 1)[None, :] >= lengths[:, None]
-            keep[nz] = lengths - stop.argmax(axis=1)
+            # Segment-major stable lexsort == each offer's own
+            # (rank, charge/utility) lexsort, concatenated.
+            order = np.lexsort((self._pair_rank[row_pairs], ratio, seg))
+            offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+            col = np.arange(seg.size, dtype=np.int64) - offsets[seg]
+            # One padded walk row per offer, users in drop order.
+            walk = np.zeros((2, nrows, int(lengths.max()) + 1))
+            step = lengths[seg] - col
+            walk[0, seg, step] = charges[order]
+            walk[1, seg, step] = row_w[order]
+            keep[nz] = np.maximum(lengths - drop_walk(walk, server_charge), 0)
 
         answers: "list[np.ndarray]" = []
         for position in range(total):
@@ -490,7 +526,7 @@ class OnlineAllocator:
                 raise ValidationError(f"stream {stream_id!r} is already active")
             if keep[position] == 0:
                 self._reject(stream_id)
-                answers.append(empty)
+                answers.append(_NO_USERS)
                 continue
             # First offer that selects users: recompute + commit through
             # the scalar path (state untouched by the rejects above, so
@@ -501,29 +537,27 @@ class OnlineAllocator:
         return answers
 
     def _hard_guard(
-        self, k: int, selected_users: np.ndarray, selected_pairs: np.ndarray
-    ):
+        self, k: int, pairs: np.ndarray, budgets: np.ndarray, loads: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """Drop the stream (or individual users) if committing would exceed
-        a budget.  Never fires under the small-streams precondition."""
-        idx = self._idx
-        empty = np.empty(0, dtype=np.int64)
-        costs = idx.stream_costs[k]
-        for i in self._server_measures:
-            budget = idx.budgets[i]
-            if self._server_load_arr[i] + costs[i] / budget > 1.0 + FEASIBILITY_RTOL:
-                return empty, empty
-        fits = np.ones(selected_users.size, dtype=bool)
-        for j in range(idx.mc):
-            cap = idx.capacities[selected_users, j]
-            finite = np.isfinite(cap)
-            with np.errstate(invalid="ignore"):
-                over = (
-                    self._user_load_arr[selected_users, j]
-                    + idx.s_loads[selected_pairs, j] / cap
-                    > 1.0 + FEASIBILITY_RTOL
-                )
-            fits &= ~(finite & over)
-        return selected_users[fits], selected_pairs[fits]
+        a budget.  Never fires under the small-streams precondition.
+
+        ``budgets`` and ``loads`` are the selected pairs' ``(m_c, n)``
+        budget indices and post-commit loads; all three come back
+        filtered to the users that fit.  A user measure counts when its
+        cap is finite, whether or not the pair is charged: a zero-load
+        pair on a user already over a finite cap is dropped, and an
+        infinite cap never blocks.
+        """
+        for i, share in self._server_shares[k]:
+            if float(self._server_load_arr[i]) + share > _LOAD_LIMIT:
+                return _NO_USERS, budgets[:, :0], loads[:, :0]
+        over = loads > _LOAD_LIMIT
+        over &= self._pair_finite[:, pairs]
+        if not over.any():
+            return pairs, budgets, loads
+        fits = ~over.any(axis=0)
+        return pairs[fits], budgets[:, fits], loads[:, fits]
 
     def release(self, stream_id: str) -> None:
         """Extension for finite-duration sessions: return a stream's load.
@@ -544,40 +578,34 @@ class OnlineAllocator:
         self.release_indexed(k)
 
     def release_indexed(self, k: int) -> None:
-        """Index-native :meth:`release`: one scatter-subtract per measure
-        over the stream's receiver pairs instead of a per-user loop.
+        """Index-native :meth:`release`: one scatter-subtract over the
+        stream's receiver pairs instead of a per-user loop.
 
         Unknown indices and inactive streams raise the canonical
         :class:`~repro.exceptions.ValidationError` — never a raw
         ``KeyError``/``IndexError``, and never a silent no-op.
         """
-        idx = self._idx
-        k = self._check_stream_index(k)
-        stream_id = idx.stream_ids[k]
+        k = int(k)
+        if not 0 <= k < self._idx.num_streams:
+            self._check_stream_index(k)  # raises the canonical error
+        stream_id = self._idx.stream_ids[k]
         if stream_id not in self._offered:
             raise ValidationError(
                 f"stream {stream_id!r} is not active "
                 "(never offered, rejected, or already released)"
             )
-        pairs = self._active_pairs.pop(k, np.empty(0, dtype=np.int64))
+        pairs = self._active_pairs.pop(k, _NO_USERS)
         if pairs.size:
-            costs = idx.stream_costs[k]
-            for i in self._server_measures:
-                if costs[i] > 0:
-                    self._server_load_arr[i] -= costs[i] / idx.budgets[i]
-                    self._exp_server[i] = self.mu ** float(self._server_load_arr[i])
-            users = idx.s_user[pairs]
-            for j in range(idx.mc):
-                cap = idx.capacities[users, j]
-                load = idx.s_loads[pairs, j]
-                mask = np.isfinite(cap) & (load > 0.0)
-                if mask.any():
-                    touched = users[mask]
-                    self._user_load_arr[touched, j] -= load[mask] / cap[mask]
-                    self._recharge(touched, j)
+            for i, share, _scaled_budget in self._server_terms[k]:
+                load = float(self._server_load_arr[i]) - share
+                self._server_load_arr[i] = load
+                self._exp_server[i] = self.mu ** load
+            charged = self._pair_charged[:, pairs]
+            touched = self._pair_budget[:, pairs][charged]
+            loads = self._user_load_flat[touched] - self._pair_ratio[:, pairs][charged]
+            self._user_load_flat[touched] = loads
+            self._exp_user_flat[touched] = self.mu ** loads
             self._charges_mutated()
-            for uid in idx.user_ids_of(users):
-                self.assignment.discard(uid, stream_id)
         self._offered.discard(stream_id)
 
     # ------------------------------------------------------------------
@@ -646,7 +674,6 @@ class OnlineAllocator:
                 raise ValidationError(f"state names unknown stream id {sid!r}")
         self._offered = offered
         self._active_pairs = {}
-        self.assignment = Assignment(self.instance)
         for k, pairs in sorted(state["active_pairs"].items()):
             k = self._check_stream_index(k)
             arr = np.asarray(pairs, dtype=np.int64)
@@ -659,9 +686,6 @@ class OnlineAllocator:
                     "interest row"
                 )
             self._active_pairs[k] = arr
-            self.assignment.assign_stream(
-                idx.stream_ids[k], idx.user_ids_of(idx.s_user[arr])
-            )
         self.rejected = list(state["rejected"])
         self._rejected_seen = set(self.rejected)
         self.rejected_count = int(state["rejected_count"])
@@ -697,6 +721,22 @@ class OnlineAllocator:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
+
+    @property
+    def assignment(self) -> Assignment:
+        """The current assignment, built on demand from the active pairs.
+
+        A fresh :class:`~repro.core.assignment.Assignment` on every
+        access (a snapshot: later offers and releases do not change it).
+        The allocator's own state is the loads and
+        ``stream index → receiver pairs``; offers and releases keep no
+        string-keyed mirror.
+        """
+        idx = self._idx
+        view = Assignment(self.instance)
+        for k, pairs in self._active_pairs.items():
+            view.assign_stream(idx.stream_ids[k], idx.user_ids_of(idx.s_user[pairs]))
+        return view
 
     @property
     def competitive_bound(self) -> float:

@@ -371,3 +371,169 @@ class TestChargeResyncConfig:
         for sid in inst.stream_ids():
             assert eager.offer(sid) == lazy.offer(sid)
             assert eager._ops_since_resync == 0
+
+
+class TestHardGuardEdges:
+    """Edge semantics of the ``enforce_budgets`` guard.
+
+    The guard masks user measures by *finite capacity*, not by whether
+    the pair is charged in the Line-4 test: a zero-load pair on a user
+    already over a finite cap is dropped, while an infinite-cap measure
+    never blocks, whatever load it records.
+    """
+
+    @staticmethod
+    def _instance(users, budget=100.0, costs=(1.0, 1.0), strict=True):
+        import math as _math
+
+        from repro.core.instance import MMDInstance, Stream, User
+
+        streams = [Stream(f"s{i + 1}", (c,)) for i, c in enumerate(costs)]
+        built = [
+            User(uid, _math.inf, caps, utilities=w, loads=loads)
+            for uid, caps, w, loads in users
+        ]
+        return MMDInstance(streams, built, (budget,), strict=strict)
+
+    def test_zero_load_pair_on_over_cap_user_is_dropped(self):
+        inst = self._instance(
+            [
+                ("a", (1.0,), {"s1": 10.0, "s2": 10.0}, {"s1": (2.0,)}),
+                ("b", (math.inf,), {"s2": 10.0}, {}),
+            ],
+            strict=False,
+        )
+        allocator = OnlineAllocator(inst, enforce_budgets=False)
+        assert allocator.offer("s1") == ["a"]
+        assert allocator._user_load_arr[0, 0] == 2.0  # a is over its cap
+        allocator.enforce_budgets = True
+        # s2 puts no load on a (uncharged in Line 4), yet the guard sees
+        # a's cap already exceeded and drops the pair.
+        assert allocator._user_charge("a", "s2") == 0.0
+        assert allocator.offer("s2") == ["b"]
+
+    def test_zero_load_pair_on_over_cap_user_alone_is_rejected(self):
+        inst = self._instance(
+            [("a", (1.0,), {"s1": 10.0, "s2": 10.0}, {"s1": (2.0,)})],
+            strict=False,
+        )
+        allocator = OnlineAllocator(inst, enforce_budgets=False)
+        assert allocator.offer("s1") == ["a"]
+        allocator.enforce_budgets = True
+        assert allocator.offer("s2") == []
+        assert allocator.rejected == ["s2"]
+
+    def test_zero_load_pair_is_kept_without_the_guard(self):
+        inst = self._instance(
+            [("a", (1.0,), {"s1": 10.0, "s2": 10.0}, {"s1": (2.0,)})],
+            strict=False,
+        )
+        allocator = OnlineAllocator(inst, enforce_budgets=False)
+        assert allocator.offer("s1") == ["a"]
+        assert allocator.offer("s2") == ["a"]
+
+    def test_infinite_cap_measure_never_blocks(self):
+        inst = self._instance(
+            [
+                (
+                    "a",
+                    (1.0, math.inf),
+                    {"s1": 10.0, "s2": 10.0},
+                    {"s1": (0.1, 50.0), "s2": (0.1, 50.0)},
+                )
+            ]
+        )
+        allocator = OnlineAllocator(inst)
+        assert allocator.offer("s1") == ["a"]
+        # Even a recorded load far past 1 on the uncapped measure does
+        # not block: the guard only looks at finite caps.
+        allocator._user_load_arr[0, 1] = 5.0
+        assert allocator.offer("s2") == ["a"]
+        assert allocator._user_load_arr[0, 1] == 5.0  # never charged
+
+    def test_zero_cap_zero_load_pair_fits(self):
+        """``0/0`` is NaN, and NaN never exceeds the cap."""
+        inst = self._instance([("a", (0.0,), {"s1": 10.0}, {})], costs=(1.0,))
+        allocator = OnlineAllocator(inst)
+        assert allocator.offer("s1") == ["a"]
+
+    def test_server_budget_rejects_the_whole_stream(self):
+        inst = self._instance(
+            [("a", (math.inf,), {"s1": 10.0, "s2": 20.0}, {})],
+            budget=1.0,
+            costs=(0.6, 0.5),
+        )
+        allocator = OnlineAllocator(inst)
+        assert allocator.offer("s1") == ["a"]
+        assert allocator.offer("s2") == []
+        unguarded = OnlineAllocator(inst, enforce_budgets=False)
+        unguarded.offer("s1")
+        assert unguarded.offer("s2") == ["a"]
+
+
+class TestHotPath:
+    """Offers and releases run on the index arrays alone."""
+
+    def test_no_string_mirror_on_offer_or_release(self, monkeypatch):
+        from repro.core.assignment import Assignment
+        from repro.core.indexed import IndexedInstance
+
+        inst = small_streams_mmd(14, 5, seed=91)
+        allocator = OnlineAllocator(inst)
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("hot path touched the string-keyed mirror")
+
+        monkeypatch.setattr(Assignment, "assign_stream", forbidden)
+        monkeypatch.setattr(Assignment, "discard", forbidden)
+        monkeypatch.setattr(IndexedInstance, "user_ids_of", forbidden)
+        admitted = [k for k in range(inst.num_streams)
+                    if allocator.offer_indexed(k).size]
+        assert admitted
+        for k in admitted[::2]:
+            allocator.release_indexed(k)
+
+    def test_assignment_is_derived_from_active_pairs(self):
+        inst = small_streams_mmd(14, 5, seed=92)
+        allocator = OnlineAllocator(inst)
+        carried = {}
+        for k in range(inst.num_streams):
+            users = allocator.offer_indexed(k)
+            if users.size:
+                carried[inst.streams[k].stream_id] = set(
+                    allocator._idx.user_ids_of(users)
+                )
+        released = sorted(carried)[::2]
+        for sid in released:
+            allocator.release(sid)
+            del carried[sid]
+        view = allocator.assignment
+        assert view.assigned_streams() == set(carried)
+        for sid, users in carried.items():
+            assert set(view.receivers_of(sid)) == users
+        # A snapshot: later decisions do not reach an earlier view.
+        if carried:
+            allocator.release(next(iter(carried)))
+            assert view.assigned_streams() == set(carried)
+
+    def test_guard_runs_on_every_admission(self, monkeypatch):
+        inst = random_mmd(10, 4, m=1, mc=2, seed=17, budget_fraction=0.3)
+        calls = []
+        original = OnlineAllocator._hard_guard
+
+        def spy(self, k, *args):
+            calls.append(k)
+            return original(self, k, *args)
+
+        monkeypatch.setattr(OnlineAllocator, "_hard_guard", spy)
+        guarded = OnlineAllocator(inst)
+        for k in range(inst.num_streams):
+            guarded.offer_indexed(k)
+        assert guarded._active_pairs
+        assert set(guarded._active_pairs) <= set(calls)
+        assert len(calls) == len(set(calls))  # once per offer
+        calls.clear()
+        unguarded = OnlineAllocator(inst, enforce_budgets=False)
+        for k in range(inst.num_streams):
+            unguarded.offer_indexed(k)
+        assert unguarded._active_pairs and not calls
